@@ -68,7 +68,7 @@ impl Default for ObsConfig {
 pub struct Observer {
     /// Deterministic event trace.
     pub tracer: Tracer,
-    /// Counters, gauges, histograms.
+    /// Counters, gauges, quantile sketches.
     pub registry: Registry,
     /// Orchestration decision audit trail.
     pub audit: AuditTrail,
@@ -333,7 +333,7 @@ mod tests {
         assert_eq!(obs.registry.counter("predictor.system.grad_chunks"), 4);
         assert_eq!(
             obs.registry
-                .histogram("predictor.system.epoch_loss")
+                .sketch("predictor.system.epoch_loss")
                 .unwrap()
                 .count(),
             2

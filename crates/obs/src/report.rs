@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use crate::observer::Observer;
 
-/// Histogram-name prefix under which the sim observer records per-app
+/// Sketch-name prefix under which the sim observer records per-app
 /// contention slowdowns; the report ranks these as "top slowdown
 /// sources".
 pub const SLOWDOWN_PREFIX: &str = "sim.slowdown.app.";
@@ -180,12 +180,12 @@ fn render_near_flips(out: &mut String, obs: &Observer) {
 }
 
 fn render_slowdown_sources(out: &mut String, obs: &Observer) {
-    let mut sources: Vec<(&str, f32, u64)> = obs
+    let mut sources: Vec<(&str, f64, u64)> = obs
         .registry
-        .histograms()
-        .filter_map(|(name, h)| {
+        .sketches()
+        .filter_map(|(name, s)| {
             name.strip_prefix(SLOWDOWN_PREFIX)
-                .map(|app| (app, h.mean(), h.count()))
+                .map(|app| (app, s.quantile(0.5), s.count()))
         })
         .collect();
     if sources.is_empty() {
@@ -194,10 +194,10 @@ fn render_slowdown_sources(out: &mut String, obs: &Observer) {
     sources.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
     let _ = writeln!(
         out,
-        "\n-- top slowdown sources (mean contention slowdown) --"
+        "\n-- top slowdown sources (median contention slowdown) --"
     );
-    for (app, mean, n) in sources.iter().take(8) {
-        let _ = writeln!(out, "  {app:<24} x{mean:<6.3} over {n} app-seconds");
+    for (app, p50, n) in sources.iter().take(8) {
+        let _ = writeln!(out, "  {app:<24} x{p50:<6.3} over {n} completions");
     }
 }
 
@@ -211,15 +211,6 @@ fn render_metrics(out: &mut String, obs: &Observer) {
     }
     for (name, v) in obs.registry.gauges() {
         let _ = writeln!(out, "  gauge   {name:<38} {v}");
-    }
-    for (name, h) in obs.registry.histograms() {
-        let _ = writeln!(
-            out,
-            "  hist    {name:<38} n={} mean={:.4} p95={:.4}",
-            h.count(),
-            h.mean(),
-            h.quantile(0.95)
-        );
     }
     for (name, s) in obs.registry.sketches() {
         let _ = writeln!(
@@ -271,6 +262,7 @@ mod tests {
         assert!(text.contains("near-flip decisions: 1"));
         assert!(text.contains("top slowdown sources"));
         assert!(text.contains("in-memory-analytics"));
+        assert!(text.contains("x1.800  over 1 completions"));
         assert!(!text.contains("wall clock"), "no wall data was recorded");
     }
 
@@ -327,8 +319,7 @@ mod tests {
             violations: 3,
             total: 5,
         });
-        obs.registry
-            .sketch_observe("orchestrator.queue_wait_s", 0.25);
+        obs.registry.observe("orchestrator.queue_wait_s", 0.25);
         let text = render_report(&obs);
         assert!(text.contains("SLO burn alerts: 1"));
         assert!(text.contains("window    60s rate 60%"));

@@ -1,23 +1,22 @@
-//! Deterministic mergeable log-bucket quantile sketch.
+//! Deterministic mergeable log-bucket quantile sketch — the one
+//! distribution type of the metrics registry.
 //!
-//! The registry's Welford [`crate::registry::Histogram`] answers
-//! percentile queries against a *fixed* bucket grid chosen at
-//! registration time; queries outside the grid's sweet spot degrade to
-//! bucket-width error. The sketch complements it with a layout that is
-//! global and value-independent: every positive `f64` maps to a bucket
-//! index derived from its bit pattern (sign, exponent and the top
-//! [`MANTISSA_BITS`] mantissa bits), so two sketches built on different
-//! workers — or merged in any order — always agree bucket-for-bucket.
-//! That makes the merge exact: merging is per-index counter addition,
-//! and the quantile read on a merged sketch is byte-identical to the
-//! read on a sketch built from the concatenated stream.
+//! The bucket layout is global and value-independent: every positive
+//! `f64` maps to a bucket index derived from its bit pattern (sign,
+//! exponent and the top [`MANTISSA_BITS`] mantissa bits), so two
+//! sketches built on different workers — or merged in any order —
+//! always agree bucket-for-bucket. That makes the merge exact: merging
+//! is per-index counter addition, and the quantile read on a merged
+//! sketch is byte-identical to the read on a sketch built from the
+//! concatenated stream. The layout has no knobs, so no caller ever
+//! picks bucket bounds.
 //!
 //! Bucket width is relative: with 7 mantissa bits each bucket spans a
-//! `1 + 2⁻⁷ ≈ 0.8 %` ratio, so p50/p95/p99 reads carry sub-percent
-//! relative error at any magnitude from `1e-300` to `1e300` without
-//! configuration. All arithmetic is integer or exact `f64` bit
-//! manipulation — no transcendental calls — so reads are bitwise
-//! deterministic across platforms.
+//! ratio of at most `1 + 2⁻⁷` (≈ 0.8 %), so p50/p95/p99 reads carry
+//! sub-percent relative error at any magnitude from `1e-300` to
+//! `1e300` without configuration. All arithmetic is integer or exact
+//! `f64` bit manipulation — no transcendental calls — so reads are
+//! bitwise deterministic across platforms.
 
 use std::collections::BTreeMap;
 
@@ -51,7 +50,7 @@ const SHIFT: u32 = 52 - MANTISSA_BITS;
 /// let p50 = a.quantile(0.5);
 /// assert!((p50 - 3.0).abs() / 3.0 < 0.01, "p50 {p50}");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sketch {
     buckets: BTreeMap<u32, u64>,
     zero: u64,
@@ -75,6 +74,12 @@ fn bucket_lo(idx: u32) -> f64 {
 /// Upper edge of bucket `idx` (exclusive).
 fn bucket_hi(idx: u32) -> f64 {
     f64::from_bits(u64::from(idx + 1) << SHIFT)
+}
+
+impl Default for Sketch {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Sketch {
@@ -197,6 +202,9 @@ mod tests {
 
     #[test]
     fn empty_sketch_reads_zero() {
+        // `default()` must be `new()`: a zeroed min would pin every
+        // later sample's minimum at 0.
+        assert_eq!(Sketch::default(), Sketch::new());
         let s = Sketch::new();
         assert_eq!(s.count(), 0);
         assert!(s.is_empty());

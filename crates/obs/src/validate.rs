@@ -301,15 +301,6 @@ pub fn validate_jsonl_metrics(text: &str) -> Result<usize, ValidateError> {
             "counter" | "gauge" => {
                 require_num(&doc, "value", line_no)?;
             }
-            "histogram" => {
-                let n = require_num(&doc, "count", line_no)?;
-                if n < 1.0 {
-                    return Err(err(line_no, "histogram with no observations exported"));
-                }
-                for key in ["mean", "std", "min", "max", "p50", "p95", "p99"] {
-                    require_num(&doc, key, line_no)?;
-                }
-            }
             "sketch" => {
                 let n = require_num(&doc, "count", line_no)?;
                 if n < 1.0 {
@@ -855,7 +846,7 @@ mod tests {
     #[test]
     fn metrics_validator_accepts_sketches_and_rejects_bad_ones() {
         let mut obs = observer();
-        obs.registry.sketch_observe("orchestrator.slowdown", 1.4);
+        obs.registry.observe("orchestrator.slowdown", 1.4);
         let n = validate_jsonl_metrics(&export::to_jsonl_metrics(&obs)).unwrap();
         assert!(n >= 6, "expected sketch line to count, got {n}");
 
@@ -870,5 +861,12 @@ mod tests {
             .unwrap_err()
             .reason
             .contains("not monotone"));
+
+        // Sketches are the only distribution rows the schema knows.
+        let histogram = r#"{"type":"histogram","name":"h","count":1,"mean":1,"std":0,"min":1,"max":1,"p50":1,"p95":1,"p99":1}"#;
+        assert!(validate_jsonl_metrics(histogram)
+            .unwrap_err()
+            .reason
+            .contains("unknown metric type `histogram`"));
     }
 }

@@ -102,16 +102,9 @@ impl EngineObserver for ObservedRun<'_> {
         if !self.obs.spans.enabled() {
             return;
         }
-        // Both sketches record the admission delay; they are kept as
-        // separate series because an async-decision engine would split
-        // them (queue wait vs decide time).
-        let wait = decided_s - arrived_s;
         self.obs
             .registry
-            .sketch_observe("orchestrator.decision_latency_s", wait);
-        self.obs
-            .registry
-            .sketch_observe("orchestrator.queue_wait_s", wait);
+            .observe("orchestrator.queue_wait_s", decided_s - arrived_s);
         self.obs.spans.open(LifecycleSpan {
             deployment_id: id.index(),
             app: adrias_obs::intern(profile.name()),
@@ -167,7 +160,7 @@ impl EngineObserver for ObservedRun<'_> {
                 .close(id.index(), outcome.finished_s, self.ticks, false);
             self.obs
                 .registry
-                .sketch_observe("orchestrator.slowdown", f64::from(outcome.mean_slowdown));
+                .observe("orchestrator.slowdown", f64::from(outcome.mean_slowdown));
         }
         let mut args = vec![
             ("mode", outcome.mode.to_string().into()),

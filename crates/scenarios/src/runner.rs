@@ -175,7 +175,7 @@ where
 /// scenario runs fully observed with its own private
 /// [`adrias_obs::Observer`], and the per-scenario registries are folded
 /// into one [`adrias_obs::Registry`] per policy with
-/// [`adrias_obs::Registry::merge`] — counters sum, histograms merge
+/// [`adrias_obs::Registry::merge`] — counters sum, sketches merge
 /// bucket-wise, gauges are last-scenario-wins.
 ///
 /// Scenarios still run in parallel across `threads` workers, but the
@@ -436,7 +436,8 @@ mod tests {
     }
 
     /// Structural fingerprint of a registry for exact comparison:
-    /// every counter, gauge bit pattern, and histogram shape/moments.
+    /// every counter, gauge bit pattern, and sketch (buckets, count and
+    /// min/max, all exact).
     fn registry_fingerprint(reg: &adrias_obs::Registry) -> Vec<String> {
         let mut lines: Vec<String> = Vec::new();
         for (name, v) in reg.counters() {
@@ -445,15 +446,8 @@ mod tests {
         for (name, v) in reg.gauges() {
             lines.push(format!("gauge {name} {:016x}", v.to_bits()));
         }
-        for (name, h) in reg.histograms() {
-            lines.push(format!(
-                "hist {name} n={} counts={:?} mean={:08x} min={:016x} max={:016x}",
-                h.count(),
-                h.counts(),
-                h.mean().to_bits(),
-                h.min().to_bits(),
-                h.max().to_bits()
-            ));
+        for (name, s) in reg.sketches() {
+            lines.push(format!("sketch {name} {s:?}"));
         }
         lines
     }
