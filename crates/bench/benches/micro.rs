@@ -342,7 +342,7 @@ fn bench_worker_scaling(h: &mut Harness) {
 ///
 /// Three variants are timed:
 ///
-/// * `plain` — [`run_schedule`], the monomorphized no-op observer;
+/// * `plain` — the monomorphized no-op observer `()`;
 /// * `traced` — audit trail + trace events only (per-decision and
 ///   per-completion work, no per-step metrics), the cost the "tracing
 ///   with no exporter stays ≤ 5%" claim is about;
@@ -359,8 +359,7 @@ fn bench_worker_scaling(h: &mut Harness) {
 fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
     use adrias_obs::{ObsConfig, Observer};
     use adrias_orchestrator::engine::{
-        run_schedule, run_schedule_hooked, run_schedule_observed, EngineConfig, EngineObserver,
-        ScheduledArrival,
+        run_stream_hooked, EngineConfig, EngineObserver, ScheduleStream, ScheduledArrival,
     };
     use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
     use std::time::Instant;
@@ -416,21 +415,24 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
     };
     let run_plain = || {
         let mut policy = RoundRobinPolicy::new();
-        black_box(run_schedule(
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         ));
     };
     let run_traced = || {
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        let mut traced = TracingOnly(ObservedRun::new(&mut obs));
-        black_box(run_schedule_hooked(
+        let mut traced = TracingOnly(ObservedRun::with_qos(&mut obs, None));
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
             &mut traced,
         ));
@@ -438,12 +440,13 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
     let run_observed = || {
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        black_box(run_schedule_observed(
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         ));
     };
 
@@ -499,8 +502,10 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
 /// cancels. CI gates it at ≤ 1.15×.
 fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
     use adrias_obs::{ObsConfig, Observer};
-    use adrias_orchestrator::engine::{run_schedule_observed, EngineConfig, ScheduledArrival};
-    use adrias_orchestrator::RoundRobinPolicy;
+    use adrias_orchestrator::engine::{
+        run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
+    };
+    use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
     use std::time::Instant;
 
     // The same sustained dense co-location mix as `bench_obs_overhead`.
@@ -526,12 +531,13 @@ fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
             record_spans,
             ..ObsConfig::default()
         });
-        black_box(run_schedule_observed(
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         ));
     };
     let run_spans_on = || run_with(true);
@@ -580,8 +586,10 @@ fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
 /// machine drift that sequential sections cannot.
 fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
     use adrias_obs::{ObsConfig, Observer};
-    use adrias_orchestrator::engine::{run_schedule_hooked, EngineConfig, ScheduledArrival};
-    use adrias_orchestrator::{ObservedRun, ResidualConfig, ResidualTracker, TrackedRun};
+    use adrias_orchestrator::engine::{
+        run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
+    };
+    use adrias_orchestrator::{ObservedRun, ResidualConfig, ResidualTracker};
     use adrias_scenarios::{train_stack, StackOptions};
     use std::cell::RefCell;
     use std::time::Instant;
@@ -609,11 +617,12 @@ fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
     let run_observed = || {
         let mut policy = stack.policy(0.8, 5.0);
         let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::new(&mut obs);
-        black_box(run_schedule_hooked(
+        let mut hooks = ObservedRun::with_qos(&mut obs, None);
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
             &mut hooks,
         ));
@@ -623,11 +632,12 @@ fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
         let mut obs = Observer::new(ObsConfig::default());
         let mut tracker = ResidualTracker::new(ResidualConfig::default());
         let report = {
-            let mut hooks = TrackedRun::new(&mut tracker, ObservedRun::new(&mut obs));
-            run_schedule_hooked(
+            let mut hooks = ObservedRun::with_qos(&mut obs, None).with_tracker(&mut tracker);
+            run_stream_hooked(
                 TestbedConfig::paper(),
                 engine(),
-                &arrivals,
+                &mut ScheduleStream::new(&arrivals),
+                &[],
                 &mut policy,
                 &mut hooks,
             )
@@ -684,7 +694,7 @@ fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
 fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
     use adrias_obs::{ObsConfig, Observer};
     use adrias_orchestrator::engine::{
-        run_schedule_hooked, run_stream_hooked, EngineConfig, GeneratedStream, ScheduledArrival,
+        run_stream_hooked, EngineConfig, GeneratedStream, ScheduleStream, ScheduledArrival,
     };
     use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
     use adrias_workloads::{ArrivalSource, PoissonSource};
@@ -715,15 +725,16 @@ fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
     let n = schedule.len();
     println!("  event-engine workload: {n} Poisson arrivals over {HORIZON_S} s");
 
-    let run_schedule_leg = || -> f64 {
+    let schedule_leg = || -> f64 {
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::new(&mut obs);
+        let mut hooks = ObservedRun::with_qos(&mut obs, None);
         let t = Instant::now();
-        let report = run_schedule_hooked(
+        let report = run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
             &mut hooks,
         );
@@ -732,11 +743,11 @@ fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
         black_box(report);
         n as f64 / elapsed
     };
-    let run_stream_leg = || -> f64 {
+    let streamed_leg = || -> f64 {
         let mut stream = GeneratedStream::new(make_source(), |_, t| make_arrival(t));
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::new(&mut obs);
+        let mut hooks = ObservedRun::with_qos(&mut obs, None);
         let t = Instant::now();
         let report = run_stream_hooked(
             TestbedConfig::paper(),
@@ -754,13 +765,13 @@ fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
     };
 
     // Warm-up, then median of 5 per leg.
-    run_stream_leg();
+    streamed_leg();
     let median = |mut xs: Vec<f64>| -> f64 {
         xs.sort_by(f64::total_cmp);
         xs[xs.len() / 2]
     };
-    let event = median((0..5).map(|_| run_schedule_leg()).collect());
-    let streamed = median((0..5).map(|_| run_stream_leg()).collect());
+    let event = median((0..5).map(|_| schedule_leg()).collect());
+    let streamed = median((0..5).map(|_| streamed_leg()).collect());
     println!("  event heap (schedule): {event:>12.0} decisions/s");
     println!("  event heap (streamed): {streamed:>12.0} decisions/s");
     h.record_ns("engine_arrival_event_heap", 1e9 / event);

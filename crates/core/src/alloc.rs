@@ -3,10 +3,10 @@
 //! The orchestrator's steady-state decision path claims to make zero
 //! heap allocations. Claims like that rot silently, so this module
 //! provides [`CountingAllocator`]: a transparent wrapper around the
-//! system allocator that counts allocations on the current thread while
-//! a [`pause_counting`]-free window opened by [`start_counting`] is
-//! active. A test binary installs it with `#[global_allocator]` and
-//! asserts the count over a hot loop is zero.
+//! system allocator that counts allocations on the current thread
+//! between [`start_counting`] and [`stop_counting`]. A test binary
+//! installs it with `#[global_allocator]` and asserts the count over a
+//! hot loop is zero.
 //!
 //! Counting is thread-local and disabled by default, so installing the
 //! allocator does not perturb the rest of the test binary (the harness,

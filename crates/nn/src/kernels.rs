@@ -10,7 +10,7 @@
 //!   partial sums — lane `j` sums the terms with index `≡ j (mod 8)` in
 //!   increasing order — the sub-[`LANES`] tail folds into lanes
 //!   `0..tail`, and a single fixed-shape tree reduction
-//!   ([`tree_reduce`]) collapses the lanes. The scalar path keeps the
+//!   (`tree_reduce`) collapses the lanes. The scalar path keeps the
 //!   eight partial sums in an array and runs the identical reduction,
 //!   so AVX2 and scalar results are bit-identical by construction.
 //! * **Element-wise sweeps** ([`axpy`], [`add2_bias`], [`relu`],

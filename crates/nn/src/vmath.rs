@@ -104,8 +104,8 @@ pub(crate) fn exp_poly(r: f32) -> f32 {
 ///
 /// Picks the integer `k` nearest `x·log₂e` via the shifter trick, then
 /// Cody–Waite-reduces `r = (x − k·LN2_HI) − k·LN2_LO` (the first
-/// product and subtraction are exact, see [`LN2_HI`]), evaluates
-/// [`exp_poly`] and applies `2^k` through the exponent field. Every
+/// product and subtraction are exact, see `LN2_HI`), evaluates
+/// `exp_poly` and applies `2^k` through the exponent field. Every
 /// step is a single IEEE operation mirrored lane for lane by the AVX2
 /// path in [`crate::kernels`].
 #[inline]

@@ -5,15 +5,19 @@
 //! warmup defaults, static baselines — is captured as one
 //! [`DecisionRecord`]: what arrived, what the Watcher window looked
 //! like, what the predictor forecast for each [`MemoryMode`], the
-//! normalised margin of the rule, and whether that margin was inside a
-//! configurable *near-flip* band. Near-flip decisions are the ones a
-//! slightly different model (or a slightly different β) would reverse;
-//! surfacing them is the point of the audit.
+//! normalised margin of the rule, and whether that margin was inside the
+//! *near-flip* band. Near-flip decisions are the ones a slightly
+//! different model (or a slightly different β) would reverse; surfacing
+//! them is the point of the audit.
 
 use std::fmt;
 
 use adrias_telemetry::{Metric, MetricVec, StateWindow};
 use adrias_workloads::{MemoryMode, WorkloadClass};
+
+/// Near-flip band on the normalised decision margin: decisions within
+/// 5 % of flipping are flagged.
+pub(crate) const NEAR_FLIP_BAND: f32 = 0.05;
 
 /// The rule that produced a decision, with its tunable.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,7 +181,7 @@ pub struct DecisionRecord {
     /// - β-slack: `(β·t̂_remote − t̂_local) / (β·t̂_remote)`
     /// - QoS: `(QoS − p̂99_remote) / QoS`
     pub margin: Option<f32>,
-    /// Whether `|margin|` fell within the trail's near-flip band.
+    /// Whether `|margin|` fell within the near-flip band (5 %).
     pub near_flip: bool,
 }
 
@@ -189,7 +193,7 @@ pub struct DecisionRecord {
 /// use adrias_obs::audit::{AuditTrail, DecisionInput, DecisionRule, WindowSummary};
 /// use adrias_workloads::{MemoryMode, WorkloadClass};
 ///
-/// let mut trail = AuditTrail::new(0.1);
+/// let mut trail = AuditTrail::new();
 /// trail.record(DecisionInput {
 ///     at_s: 3.0,
 ///     deployment_id: 0,
@@ -203,41 +207,23 @@ pub struct DecisionRecord {
 ///     policy: "adrias".into(),
 /// });
 /// let rec = &trail.records()[0];
-/// assert!(rec.near_flip); // 100 vs 104: ~3.8% margin, inside the 10% band
+/// assert!(rec.near_flip); // 100 vs 104: ~3.8% margin, inside the 5% band
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditTrail {
-    near_flip_band: f32,
     records: Vec<DecisionRecord>,
 }
 
 impl AuditTrail {
-    /// Creates a trail flagging decisions whose absolute normalised
-    /// margin is `≤ near_flip_band` (e.g. `0.05` for 5%).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `near_flip_band` is negative or not finite.
-    pub fn new(near_flip_band: f32) -> Self {
-        assert!(
-            near_flip_band.is_finite() && near_flip_band >= 0.0,
-            "near-flip band must be a finite non-negative fraction"
-        );
-        Self {
-            near_flip_band,
-            records: Vec::new(),
-        }
-    }
-
-    /// The configured near-flip band.
-    pub fn near_flip_band(&self) -> f32 {
-        self.near_flip_band
+    /// Creates an empty trail.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Computes the margin for `input` and appends a record.
     pub fn record(&mut self, input: DecisionInput) {
         let margin = margin_of(&input);
-        let near_flip = margin.is_some_and(|m| m.abs() <= self.near_flip_band);
+        let near_flip = margin.is_some_and(|m| m.abs() <= NEAR_FLIP_BAND);
         self.records.push(DecisionRecord {
             seq: self.records.len() as u64,
             input,
@@ -333,7 +319,7 @@ mod tests {
 
     #[test]
     fn beta_slack_margin_is_normalised_and_signed() {
-        let mut trail = AuditTrail::new(0.05);
+        let mut trail = AuditTrail::new();
         // local clearly wins: margin (1.2·100 − 60) / 120 = 0.5
         trail.record(input(
             DecisionRule::BetaSlack { beta: 1.2 },
@@ -356,7 +342,7 @@ mod tests {
 
     #[test]
     fn qos_margin_uses_remote_prediction_only() {
-        let mut trail = AuditTrail::new(0.05);
+        let mut trail = AuditTrail::new();
         trail.record(input(
             DecisionRule::QosThreshold { qos_p99_ms: 200.0 },
             None,
@@ -367,7 +353,7 @@ mod tests {
 
     #[test]
     fn rules_without_predictions_have_no_margin() {
-        let mut trail = AuditTrail::new(0.05);
+        let mut trail = AuditTrail::new();
         for rule in [
             DecisionRule::UnknownRemoteFirst,
             DecisionRule::WarmupDefault,
@@ -385,7 +371,7 @@ mod tests {
 
     #[test]
     fn sequence_numbers_are_dense() {
-        let mut trail = AuditTrail::new(0.0);
+        let mut trail = AuditTrail::new();
         for _ in 0..3 {
             trail.record(input(DecisionRule::Static, None, None));
         }

@@ -655,10 +655,10 @@ mod tests {
 
     #[test]
     fn events_meta_line_reports_overflow() {
-        let mut obs = Observer::new(ObsConfig {
-            trace_capacity: 1,
-            ..ObsConfig::default()
-        });
+        let mut obs = Observer {
+            tracer: crate::trace::Tracer::new(1),
+            ..Observer::default()
+        };
         obs.tracer.instant("a", "t", 0.0, 0, vec![]);
         obs.tracer.instant("b", "t", 1.0, 0, vec![]);
         let text = to_jsonl_events(&obs);

@@ -18,22 +18,20 @@ use crate::registry::Registry;
 use crate::spans::SpanStore;
 use crate::trace::Tracer;
 
+/// Maximum retained trace events (ring capacity).
+const TRACE_CAPACITY: usize = 65_536;
+/// Maximum retained closed lifecycle spans (ring capacity).
+const SPAN_CAPACITY: usize = 65_536;
+/// Maximum retained flight-recorder entries (ring capacity).
+const FLIGHT_CAPACITY: usize = 4096;
+
 /// Configuration for an [`Observer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObsConfig {
-    /// Maximum retained trace events (ring capacity).
-    pub trace_capacity: usize,
-    /// Near-flip band on the normalised decision margin (fraction,
-    /// e.g. `0.05` flags decisions within 5% of flipping).
-    pub near_flip_band: f32,
     /// Whether to accumulate host wall-clock timings (kept out of the
     /// deterministic exports; shown in the human report and the
     /// flamegraph file only).
     pub record_wall: bool,
-    /// Maximum retained closed lifecycle spans (ring capacity).
-    pub span_capacity: usize,
-    /// Maximum retained flight-recorder entries (ring capacity).
-    pub flight_capacity: usize,
     /// Whether to record per-deployment lifecycle spans (and feed the
     /// decision-latency / queue-wait / slowdown quantile sketches).
     pub record_spans: bool,
@@ -42,11 +40,7 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         Self {
-            trace_capacity: 65_536,
-            near_flip_band: 0.05,
             record_wall: false,
-            span_capacity: 65_536,
-            flight_capacity: 4096,
             record_spans: true,
         }
     }
@@ -85,17 +79,17 @@ pub struct Observer {
 impl Observer {
     /// Creates an observer from `cfg`.
     pub fn new(cfg: ObsConfig) -> Self {
-        let mut tracer = Tracer::new(cfg.trace_capacity);
+        let mut tracer = Tracer::new(TRACE_CAPACITY);
         if cfg.record_wall {
             tracer = tracer.with_wall_clock();
         }
         Self {
             tracer,
             registry: Registry::new(),
-            audit: AuditTrail::new(cfg.near_flip_band),
+            audit: AuditTrail::new(),
             adapt: AdaptationLog::new(),
-            spans: SpanStore::new(cfg.span_capacity, cfg.record_spans),
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            spans: SpanStore::new(SPAN_CAPACITY, cfg.record_spans),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             burn: Vec::new(),
         }
     }

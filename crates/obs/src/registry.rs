@@ -7,7 +7,7 @@
 //!
 //! Every distribution is a [`Sketch`]: one global log-bucket layout
 //! with a fixed relative width, so there is no bucket choice to make
-//! and merging two registries is exact whatever their origin.
+//! and merging two sketches is exact whatever their origin.
 
 use std::collections::BTreeMap;
 
@@ -83,24 +83,6 @@ impl Registry {
         }
     }
 
-    /// Folds every metric of `other` into this registry: counters add,
-    /// sketches merge bucket-wise (exact, see [`Sketch::merge`]), and
-    /// gauges take `other`'s value (last-merge-wins). Merging
-    /// per-scenario registries in a fixed scenario order therefore
-    /// yields a cross-scenario view that is independent of how the
-    /// scenarios were scheduled across worker threads.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, v) in other.counters() {
-            self.counter_add(name, v);
-        }
-        for (name, v) in other.gauges() {
-            self.gauge_set(name, v);
-        }
-        for (name, s) in other.sketches() {
-            self.merge_sketch(name, s);
-        }
-    }
-
     /// The named quantile sketch, if any sample was recorded.
     pub fn sketch(&self, name: &str) -> Option<&Sketch> {
         self.sketches.get(name)
@@ -171,74 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_folds_all_three_kinds() {
-        let mut a = Registry::new();
-        a.counter_add("c", 2);
-        a.gauge_set("g", 1.0);
-        a.observe("h", 3.0);
-        let mut b = Registry::new();
-        b.counter_add("c", 3);
-        b.counter_add("only_b", 1);
-        b.gauge_set("g", -4.0);
-        b.observe("h", 30.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 5);
-        assert_eq!(a.counter("only_b"), 1);
-        assert_eq!(a.gauge("g"), Some(-4.0), "gauges are last-merge-wins");
-        assert_eq!(a.sketch("h").unwrap().count(), 2);
-        a.merge(&Registry::new());
-        assert_eq!(a.counter("c"), 5);
-    }
-
-    #[test]
-    fn registry_merge_with_disjoint_key_sets_keeps_both_sides() {
-        let mut a = Registry::new();
-        a.counter_add("a.count", 7);
-        a.gauge_set("a.gauge", 1.5);
-        a.observe("a.dist", 2.0);
-        let mut b = Registry::new();
-        b.counter_add("b.count", 3);
-        b.gauge_set("b.gauge", -0.5);
-        b.observe("b.dist", 20.0);
-        a.merge(&b);
-        assert_eq!(a.counter("a.count"), 7);
-        assert_eq!(a.counter("b.count"), 3);
-        assert_eq!(a.gauge("a.gauge"), Some(1.5));
-        assert_eq!(a.gauge("b.gauge"), Some(-0.5));
-        assert_eq!(a.sketch("a.dist").unwrap().count(), 1);
-        assert_eq!(a.sketch("b.dist").unwrap().count(), 1);
-        // `b` was only read from.
-        assert_eq!(b.counter("b.count"), 3);
-        assert!(b.sketch("a.dist").is_none());
-    }
-
-    #[test]
-    fn registry_merge_with_empty_key_sets_is_identity_both_ways() {
-        let mut populated = Registry::new();
-        populated.counter_add("c", 4);
-        populated.gauge_set("g", 2.0);
-        populated.observe("h", 9.0);
-
-        // empty.merge(populated) adopts everything...
-        let mut empty = Registry::new();
-        empty.merge(&populated);
-        assert_eq!(empty.counter("c"), 4);
-        assert_eq!(empty.gauge("g"), Some(2.0));
-        assert_eq!(empty.sketch("h"), populated.sketch("h"));
-
-        // ...and populated.merge(empty) changes nothing.
-        populated.merge(&Registry::new());
-        assert_eq!(populated.counter("c"), 4);
-        assert_eq!(populated.gauge("g"), Some(2.0));
-        assert_eq!(populated.sketch("h").unwrap().count(), 1);
-
-        // Two empties stay empty.
-        let mut x = Registry::new();
-        x.merge(&Registry::new());
-        assert!(x.is_empty());
-    }
-
-    #[test]
     fn registry_sketches_record_merge_and_iterate_in_name_order() {
         let mut a = Registry::new();
         a.observe("z.lat", 1.0);
@@ -248,9 +162,9 @@ mod tests {
         assert_eq!(a.sketch("a.lat").unwrap().count(), 1);
         assert!(a.sketch("missing").is_none());
 
-        let mut b = Registry::new();
-        b.observe("a.lat", 4.0);
-        a.merge(&b);
+        let mut b = Sketch::new();
+        b.observe(4.0);
+        a.merge_sketch("a.lat", &b);
         assert_eq!(a.sketch("a.lat").unwrap().count(), 2);
 
         // Empty sketches leave no trace; a non-empty one is adopted.

@@ -27,8 +27,7 @@ pub fn render_report(obs: &Observer) -> String {
     if obs.tracer.dropped() > 0 {
         let _ = writeln!(
             out,
-            "  WARNING: trace ring overflowed, {} oldest events lost — raise \
-             ObsConfig::trace_capacity for a complete trace",
+            "  WARNING: trace ring overflowed, {} oldest events lost",
             obs.tracer.dropped()
         );
     }
@@ -53,7 +52,7 @@ pub fn render_report(obs: &Observer) -> String {
         out,
         "audit: {} decisions, near-flip band {:.1}%",
         obs.audit.len(),
-        f64::from(obs.audit.near_flip_band()) * 100.0
+        f64::from(crate::audit::NEAR_FLIP_BAND) * 100.0
     );
 
     render_decision_distribution(&mut out, obs);
@@ -295,10 +294,10 @@ mod tests {
 
     #[test]
     fn forced_trace_drops_surface_a_warning() {
-        let mut obs = Observer::new(crate::ObsConfig {
-            trace_capacity: 2,
-            ..crate::ObsConfig::default()
-        });
+        let mut obs = Observer {
+            tracer: crate::trace::Tracer::new(2),
+            ..Observer::default()
+        };
         for t in 0..5 {
             obs.tracer.instant("e", "t", f64::from(t), 0, vec![]);
         }

@@ -85,6 +85,7 @@ pub struct SpanStore {
     open: BTreeMap<u64, LifecycleSpan>,
     closed: VecDeque<LifecycleSpan>,
     dropped: u64,
+    id_horizon: u64,
 }
 
 impl SpanStore {
@@ -101,6 +102,7 @@ impl SpanStore {
             open: BTreeMap::new(),
             closed: VecDeque::new(),
             dropped: 0,
+            id_horizon: 0,
         }
     }
 
@@ -130,6 +132,14 @@ impl SpanStore {
         self.closed.is_empty()
     }
 
+    /// One past the largest deployment id ever opened (`0` when none
+    /// was). Every engine run numbers its deployments from 0, so an
+    /// observer that records several runs offsets each run's ids by
+    /// this value to keep span ids and trace tracks unique.
+    pub fn id_horizon(&self) -> u64 {
+        self.id_horizon
+    }
+
     /// Deployments admitted but not yet closed.
     pub fn open_count(&self) -> usize {
         self.open.len()
@@ -142,6 +152,7 @@ impl SpanStore {
         if !self.enabled {
             return;
         }
+        self.id_horizon = self.id_horizon.max(span.deployment_id + 1);
         self.open.insert(span.deployment_id, span);
     }
 

@@ -5,9 +5,9 @@
 //! signatures and retrain periodically". This module makes that loop
 //! observable and evidence-driven:
 //!
-//! 1. [`ResidualTracker`] rides along an engine run (via
-//!    [`TrackedRun`]) and records, for every policy decision that
-//!    carried a prediction, the predicted-vs-realised slowdown residual
+//! 1. [`ResidualTracker`] rides along an engine run (attached with
+//!    [`crate::ObservedRun::with_tracker`]) and records, for every
+//!    policy decision that carried a prediction, the predicted-vs-realised slowdown residual
 //!    once the deployment finishes — plus the system-state forecast
 //!    error of the Ŝ window each decision consulted. Residuals feed
 //!    per-stream [`PageHinkley`] detectors, so a sustained shift in
@@ -35,13 +35,11 @@ use adrias_obs::{
 };
 use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias_predictor::{PerfDataset, PerfModel, SystemStateModel};
-use adrias_sim::{DeploymentId, StepReport};
 use adrias_telemetry::{MetricVec, METRIC_COUNT};
-use adrias_workloads::{WorkloadClass, WorkloadProfile};
+use adrias_workloads::WorkloadClass;
 
 use crate::adrias::AdriasPolicy;
-use crate::engine::{AppOutcome, EngineObserver, RunReport};
-use crate::engine_obs::ObservedRun;
+use crate::engine::{AppOutcome, RunReport};
 use crate::policy::ExplainedDecision;
 
 /// Which of the policy's two performance models an adaptation action
@@ -256,53 +254,6 @@ fn rel_l2(pred: &MetricVec, actual: &MetricVec) -> f64 {
         den += f64::from(a[i]) * f64::from(a[i]);
     }
     num.sqrt() / den.sqrt().max(1e-9)
-}
-
-/// An [`ObservedRun`] with a [`ResidualTracker`] riding along: the
-/// audit trail, traces and sim metrics land in the observer exactly as
-/// in a plain observed run, while the tracker sees every decision and
-/// completion. The tracker only *reads* engine state, so decisions are
-/// bit-identical to an untracked run.
-pub struct TrackedRun<'t, 'o> {
-    tracker: &'t mut ResidualTracker,
-    run: ObservedRun<'o>,
-}
-
-impl<'t, 'o> TrackedRun<'t, 'o> {
-    /// Attaches `tracker` to an observed run.
-    pub fn new(tracker: &'t mut ResidualTracker, run: ObservedRun<'o>) -> Self {
-        Self { tracker, run }
-    }
-}
-
-impl EngineObserver for TrackedRun<'_, '_> {
-    fn on_decision(
-        &mut self,
-        at_s: f64,
-        id: DeploymentId,
-        profile: &WorkloadProfile,
-        history: Option<&[MetricVec]>,
-        decision: &ExplainedDecision,
-        policy_name: &str,
-    ) {
-        self.tracker
-            .record_decision(at_s, id.index(), profile.class(), history, decision);
-        self.run
-            .on_decision(at_s, id, profile, history, decision, policy_name);
-    }
-
-    fn on_step(&mut self, report: &StepReport) {
-        self.run.on_step(report);
-    }
-
-    fn on_complete(&mut self, id: DeploymentId, outcome: &AppOutcome) {
-        self.tracker.record_completion(id.index(), outcome);
-        self.run.on_complete(id, outcome);
-    }
-
-    fn on_run_end(&mut self, report: &RunReport, last_arrival_s: f64) {
-        self.run.on_run_end(report, last_arrival_s);
-    }
 }
 
 /// Harvests performance records of one workload class from a finished
@@ -695,7 +646,7 @@ mod tests {
     #[test]
     fn harvested_records_mirror_policy_decided_outcomes() {
         use crate::baselines::AllRemotePolicy;
-        use crate::engine::{run_schedule, EngineConfig, ScheduledArrival};
+        use crate::engine::{run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival};
         use adrias_sim::TestbedConfig;
         use adrias_workloads::{ibench, spark, IbenchKind};
 
@@ -706,11 +657,13 @@ mod tests {
             ScheduledArrival::new(150.0, spark::by_name("gmm").unwrap()),
         ];
         let mut policy = AllRemotePolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig::default(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         let records = harvest_perf_records(&report, WorkloadClass::BestEffort);
         // Only gmm qualifies: policy-decided BE with a full 120 s

@@ -205,10 +205,9 @@ impl RunReport {
 /// Hooks the engine invokes while replaying a schedule.
 ///
 /// The engine loop is generic over the observer and the no-op
-/// implementation for `()` has empty inlined methods, so the
-/// unobserved [`run_schedule`] monomorphizes to exactly the
-/// pre-observability code — tracing costs nothing unless an observer
-/// is attached.
+/// implementation for `()` has empty inlined methods, so a run with
+/// `&mut ()` monomorphizes to a loop without observation code — tracing
+/// costs nothing unless an observer is attached.
 pub trait EngineObserver {
     /// Called once per placement (policy-decided *and* forced), right
     /// after the deployment id is assigned.
@@ -353,9 +352,7 @@ pub trait ArrivalStream {
     }
 }
 
-/// [`ArrivalStream`] over a pre-built sorted schedule slice — the lens
-/// through which every legacy `&[ScheduledArrival]` entry point runs
-/// on the event engine.
+/// [`ArrivalStream`] over a pre-built sorted schedule slice.
 pub struct ScheduleStream<'a> {
     arrivals: &'a [ScheduledArrival],
     next: usize,
@@ -465,120 +462,6 @@ where
     }
 }
 
-/// Replays `arrivals` on a fresh testbed under `policy`.
-///
-/// Each simulated second: deploy due arrivals (consulting the policy
-/// unless the arrival forces a mode), step the testbed, feed the Watcher
-/// and collect completions. LC completions get their tail latency
-/// measured from the contention environment averaged over their
-/// residency.
-///
-/// Runs on the deterministic event-heap engine; same-seed runs are
-/// bit-identical regardless of worker count or host
-/// (`tests/event_engine_parity.rs`).
-///
-/// # Panics
-///
-/// Panics if `arrivals` is not sorted by arrival time.
-pub fn run_schedule(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    arrivals: &[ScheduledArrival],
-    policy: &mut dyn Policy,
-) -> RunReport {
-    let mut stream = ScheduleStream::new(arrivals);
-    run_event_inner(testbed_cfg, engine_cfg, &mut stream, &[], policy, &mut ())
-}
-
-/// [`run_schedule`] with an attached [`adrias_obs::Observer`]: every
-/// placement lands in the decision audit trail, each step feeds the sim
-/// metrics, and completed apps become trace spans. Same-seed runs leave
-/// byte-identical exports in the observer.
-pub fn run_schedule_observed(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    arrivals: &[ScheduledArrival],
-    policy: &mut dyn Policy,
-    obs: &mut adrias_obs::Observer,
-) -> RunReport {
-    let mut run = crate::engine_obs::ObservedRun::with_qos(obs, engine_cfg.qos_p99_ms);
-    let mut stream = ScheduleStream::new(arrivals);
-    run_event_inner(testbed_cfg, engine_cfg, &mut stream, &[], policy, &mut run)
-}
-
-/// [`run_schedule_observed`] with a link-degradation schedule: each
-/// [`FaultEvent`] is applied to the testbed just before the first step
-/// at or after its `at_s`, in order. An empty `faults` slice runs the
-/// exact un-faulted loop (same RNG streams, bit-identical report).
-///
-/// # Panics
-///
-/// Panics if `arrivals` or `faults` is not sorted by time.
-pub fn run_schedule_observed_faulted(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    arrivals: &[ScheduledArrival],
-    faults: &[FaultEvent],
-    policy: &mut dyn Policy,
-    obs: &mut adrias_obs::Observer,
-) -> RunReport {
-    let mut run = crate::engine_obs::ObservedRun::with_qos(obs, engine_cfg.qos_p99_ms);
-    let mut stream = ScheduleStream::new(arrivals);
-    run_event_inner(
-        testbed_cfg,
-        engine_cfg,
-        &mut stream,
-        faults,
-        policy,
-        &mut run,
-    )
-}
-
-/// [`run_schedule`] with a caller-supplied [`EngineObserver`] — the
-/// generic extension point behind both [`run_schedule`] (which passes
-/// the no-op `()` observer) and [`run_schedule_observed`] (which passes
-/// [`crate::ObservedRun`]). The loop is monomorphized per observer
-/// type, so an observer with empty hooks compiles down to the plain
-/// engine loop.
-pub fn run_schedule_hooked<O: EngineObserver>(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    arrivals: &[ScheduledArrival],
-    policy: &mut dyn Policy,
-    obs: &mut O,
-) -> RunReport {
-    let mut stream = ScheduleStream::new(arrivals);
-    run_event_inner(testbed_cfg, engine_cfg, &mut stream, &[], policy, obs)
-}
-
-/// Drives an [`ArrivalStream`] through the event engine — the entry
-/// point for generated open/closed-loop traffic, which has no schedule
-/// slice to replay.
-pub fn run_stream(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    stream: &mut dyn ArrivalStream,
-    policy: &mut dyn Policy,
-) -> RunReport {
-    run_event_inner(testbed_cfg, engine_cfg, stream, &[], policy, &mut ())
-}
-
-/// [`run_stream`] with a fault schedule and a caller-supplied observer.
-///
-/// # Panics
-///
-/// Panics if `faults` is not sorted by time.
-pub fn run_stream_hooked<O: EngineObserver>(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    stream: &mut dyn ArrivalStream,
-    faults: &[FaultEvent],
-    policy: &mut dyn Policy,
-    obs: &mut O,
-) -> RunReport {
-    run_event_inner(testbed_cfg, engine_cfg, stream, faults, policy, obs)
-}
-
 /// Consults the policy (or the forced mode), deploys the arrival at the
 /// current testbed instant, and records it.
 #[allow(clippy::too_many_arguments)]
@@ -648,8 +531,8 @@ fn deploy_arrival<O: EngineObserver>(
 }
 
 /// Converts a testbed completion into an [`AppOutcome`], measuring LC
-/// tail latency from `lc_rng` — shared by both engine cores and
-/// [`run_isolated`] so the RNG consumption pattern is identical.
+/// tail latency from `lc_rng` — shared by [`run_stream_hooked`] and
+/// [`run_isolated`] so both consume the RNG the same way.
 fn completed_outcome(
     done: adrias_sim::CompletedApp,
     policy_decided: bool,
@@ -700,29 +583,41 @@ enum EventPayload {
     Deadline,
 }
 
-/// The discrete-event engine core.
+/// Drives `stream` through the discrete-event engine on a fresh
+/// testbed under `policy`, applying the link `faults` and reporting to
+/// `obs` — the one way to start a run. A pre-built schedule runs as
+/// `&mut ScheduleStream::new(&arrivals)`, a healthy link as `&[]`, and
+/// an unobserved run as `&mut ()`; [`crate::ObservedRun`] records the
+/// exports. The loop is monomorphized per observer type, so the no-op
+/// observer costs nothing.
 ///
 /// Pops events in `(time, kind-rank, seq)` order from a deterministic
-/// heap. Per instant the rank order admits arrivals first, applies
-/// faults second, then takes the watcher sample (which steps the
-/// testbed), folds completions in after the sample that surfaced them,
-/// and judges the drain deadline last. Bitwise parity with the step
-/// loop holds because the rank order reproduces the legacy loop's
-/// per-iteration phases exactly — the one transposition (legacy applies
-/// faults *before* deploying the same second's arrivals) is
-/// output-invariant, since a fault only rewrites the link config, which
-/// nothing before the testbed step reads.
+/// heap. Per instant the rank order admits arrivals first (consulting
+/// the policy unless the arrival forces a mode), applies faults second,
+/// then takes the watcher sample (which steps the testbed), folds
+/// completions in after the sample that surfaced them (LC completions
+/// get their tail latency measured from the contention environment
+/// averaged over their residency), and judges the drain deadline last.
+/// A fault takes effect at the first tick at or after its `at_s`; it
+/// only rewrites the link config, which nothing before the testbed step
+/// reads, so its rank relative to same-tick arrivals changes no output.
 ///
 /// Arrivals are pulled lazily: at most one future open-loop arrival
 /// lives in the heap (plus at most one per closed-loop completion), so
 /// heap occupancy — and memory — is O(residents), not O(arrivals).
 ///
-/// The `stopped` flag implements the legacy break: the run ends at a
-/// watcher tick (natural idle or drain deadline), after which pending
-/// arrival/fault events drain without effect (arrivals count as
-/// unfinished), while completions surfaced by the final step are still
-/// folded in.
-fn run_event_inner<O: EngineObserver>(
+/// The `stopped` flag ends the run at a watcher tick (natural idle or
+/// drain deadline), after which pending arrival/fault events drain
+/// without effect (arrivals count as unfinished), while completions
+/// surfaced by the final step are still folded in.
+///
+/// Same-seed runs are bit-identical regardless of worker count or host
+/// (`tests/event_engine_parity.rs`).
+///
+/// # Panics
+///
+/// Panics if `faults` is not sorted by time.
+pub fn run_stream_hooked<O: EngineObserver>(
     testbed_cfg: TestbedConfig,
     engine_cfg: EngineConfig,
     stream: &mut dyn ArrivalStream,
@@ -828,8 +723,7 @@ fn run_event_inner<O: EngineObserver>(
             obs.on_step(&report);
             // Completions pop at this tick's own instant (rank orders
             // them after the sample, before the next tick's arrivals),
-            // in report order — the lc_rng consumption order the step
-            // loop produces.
+            // in report order, which fixes the lc_rng consumption order.
             for done in report.finished {
                 heap.push(
                     ev.time_s,
@@ -950,6 +844,7 @@ pub fn run_isolated(
 mod tests {
     use super::*;
     use crate::baselines::{AllLocalPolicy, AllRemotePolicy, RoundRobinPolicy};
+    use crate::ObservedRun;
     use adrias_workloads::{ibench, spark, IbenchKind};
 
     fn quick_engine() -> EngineConfig {
@@ -962,7 +857,14 @@ mod tests {
     #[test]
     fn empty_schedule_terminates_immediately() {
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(TestbedConfig::noiseless(), quick_engine(), &[], &mut policy);
+        let report = run_stream_hooked(
+            TestbedConfig::noiseless(),
+            quick_engine(),
+            &mut ScheduleStream::new(&[]),
+            &[],
+            &mut policy,
+            &mut (),
+        );
         assert!(report.outcomes.is_empty());
         assert_eq!(report.unfinished, 0);
     }
@@ -972,11 +874,13 @@ mod tests {
         let app = spark::by_name("wordcount").unwrap();
         let arrivals = [ScheduledArrival::new(0.0, app.clone())];
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(report.outcomes.len(), 1);
         let o = &report.outcomes[0];
@@ -992,11 +896,13 @@ mod tests {
         let app = spark::by_name("gmm").unwrap();
         let arrivals = [ScheduledArrival::new(0.0, app).with_mode(MemoryMode::Remote)];
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(report.outcomes[0].mode, MemoryMode::Remote);
         assert!(!report.outcomes[0].policy_decided);
@@ -1008,11 +914,13 @@ mod tests {
         let redis = adrias_workloads::keyvalue::redis();
         let arrivals = [ScheduledArrival::new(0.0, redis).with_duration(40.0)];
         let mut policy = AllRemotePolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         let o = &report.outcomes[0];
         assert!(o.p99_ms.unwrap() > 0.0);
@@ -1027,11 +935,13 @@ mod tests {
             .map(|i| ScheduledArrival::new(i as f64 * 5.0, app.clone()))
             .collect();
         let mut policy = RoundRobinPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(report.placement_counts(), (2, 2));
         assert!((report.offload_fraction() - 0.5).abs() < 1e-6);
@@ -1041,20 +951,24 @@ mod tests {
     fn remote_apps_generate_link_traffic_local_do_not() {
         let app = spark::by_name("lr").unwrap();
         let mut all_local = AllLocalPolicy::new();
-        let local_report = run_schedule(
+        let local_report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &[ScheduledArrival::new(0.0, app.clone())],
+            &mut ScheduleStream::new(&[ScheduledArrival::new(0.0, app.clone())]),
+            &[],
             &mut all_local,
+            &mut (),
         );
         assert_eq!(local_report.link_bytes, 0.0);
 
         let mut all_remote = AllRemotePolicy::new();
-        let remote_report = run_schedule(
+        let remote_report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &[ScheduledArrival::new(0.0, app)],
+            &mut ScheduleStream::new(&[ScheduledArrival::new(0.0, app)]),
+            &[],
             &mut all_remote,
+            &mut (),
         );
         assert!(remote_report.link_bytes > 0.0);
     }
@@ -1070,11 +984,13 @@ mod tests {
             ScheduledArrival::new(150.0, app),
         ];
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         let o = report
             .outcomes
@@ -1101,7 +1017,14 @@ mod tests {
             ..quick_engine()
         };
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(TestbedConfig::noiseless(), cfg, &arrivals, &mut policy);
+        let report = run_stream_hooked(
+            TestbedConfig::noiseless(),
+            cfg,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
+            &mut policy,
+            &mut (),
+        );
         assert!(report.end_time_s <= 60.0);
         assert_eq!(report.unfinished, 1);
     }
@@ -1115,11 +1038,13 @@ mod tests {
             ScheduledArrival::new(5.0, app),
         ];
         let mut policy = AllLocalPolicy::new();
-        let _ = run_schedule(
+        let _ = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
     }
 
@@ -1130,13 +1055,13 @@ mod tests {
         let run = |faults: &[FaultEvent]| {
             let mut policy = AllRemotePolicy::new();
             let mut obs = adrias_obs::Observer::default();
-            let report = run_schedule_observed_faulted(
+            let report = run_stream_hooked(
                 TestbedConfig::paper(),
                 quick_engine(),
-                &arrivals,
+                &mut ScheduleStream::new(&arrivals),
                 faults,
                 &mut policy,
-                &mut obs,
+                &mut ObservedRun::with_qos(&mut obs, None),
             );
             (
                 format!("{report:?}"),
@@ -1146,11 +1071,13 @@ mod tests {
         assert_eq!(run(&[]), run(&[]));
         let (plain_report, plain_events) = run(&[]);
         let mut policy = AllRemotePolicy::new();
-        let unfaulted = run_schedule(
+        let unfaulted = run_stream_hooked(
             TestbedConfig::paper(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(plain_report, format!("{unfaulted:?}"));
         assert!(!plain_events.is_empty());
@@ -1163,13 +1090,13 @@ mod tests {
         let run = |faults: &[FaultEvent]| {
             let mut policy = AllRemotePolicy::new();
             let mut obs = adrias_obs::Observer::default();
-            run_schedule_observed_faulted(
+            run_stream_hooked(
                 TestbedConfig::noiseless(),
                 quick_engine(),
-                &arrivals,
+                &mut ScheduleStream::new(&arrivals),
                 faults,
                 &mut policy,
-                &mut obs,
+                &mut ObservedRun::with_qos(&mut obs, None),
             )
         };
         let healthy = run(&[]);
@@ -1215,20 +1142,22 @@ mod tests {
         let arrivals = [ScheduledArrival::new(10.0, app.clone())];
         let mut policy = AllRemotePolicy::new();
         let mut obs = adrias_obs::Observer::default();
-        let flapped = run_schedule_observed_faulted(
+        let flapped = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
             &flap,
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         let mut policy = AllRemotePolicy::new();
-        let healthy = run_schedule(
+        let healthy = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert!(
             (flapped.outcomes[0].runtime_s - healthy.outcomes[0].runtime_s).abs() < 1.0,
@@ -1253,13 +1182,13 @@ mod tests {
         ];
         let mut policy = AllLocalPolicy::new();
         let mut obs = adrias_obs::Observer::default();
-        let _ = run_schedule_observed_faulted(
+        let _ = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &[],
+            &mut ScheduleStream::new(&[]),
             &faults,
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
     }
 
@@ -1275,11 +1204,13 @@ mod tests {
         ];
         let run = || {
             let mut policy = RoundRobinPolicy::new();
-            let report = run_schedule(
+            let report = run_stream_hooked(
                 TestbedConfig::paper(),
                 quick_engine(),
-                &arrivals,
+                &mut ScheduleStream::new(&arrivals),
+                &[],
                 &mut policy,
+                &mut (),
             );
             format!("{report:?}")
         };
@@ -1290,9 +1221,8 @@ mod tests {
     fn uniform_stream_matches_the_equivalent_schedule_slice() {
         // The streamed uniform source and a pre-materialised
         // `times_until` schedule draw identical gap sequences from the
-        // same seed, so the two entry points must produce bit-identical
-        // reports — the "ScheduledArrival path implements the same
-        // trait" contract.
+        // same seed, so `ScheduleStream` and `GeneratedStream` must
+        // produce bit-identical reports.
         use adrias_core::rng::SeedableRng;
         let app = spark::by_name("lr").unwrap();
         let process = adrias_workloads::ArrivalProcess::new(4.0, 9.0);
@@ -1307,22 +1237,26 @@ mod tests {
             .collect();
         assert!(schedule.len() > 5);
         let mut policy = RoundRobinPolicy::new();
-        let scheduled = run_schedule(
+        let scheduled = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
+            &mut (),
         );
 
         let mut stream = GeneratedStream::new(process.source(horizon, seed), |_, t| {
             ScheduledArrival::new(t, app.clone())
         });
         let mut policy = RoundRobinPolicy::new();
-        let streamed = run_stream(
+        let streamed = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut stream,
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(stream.issued(), schedule.len() as u64);
         assert_eq!(format!("{scheduled:?}"), format!("{streamed:?}"));
@@ -1334,11 +1268,13 @@ mod tests {
         let source = adrias_workloads::PoissonSource::new(0.2, 300.0, 5);
         let mut stream = GeneratedStream::new(source, |_, t| ScheduledArrival::new(t, app.clone()));
         let mut policy = RoundRobinPolicy::new();
-        let report = run_stream(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut stream,
+            &[],
             &mut policy,
+            &mut (),
         );
         assert!(!report.outcomes.is_empty());
         assert_eq!(report.outcomes.len() as u64, stream.issued());

@@ -16,17 +16,22 @@ use adrias_sim::{DeploymentId, StepReport};
 use adrias_telemetry::MetricVec;
 use adrias_workloads::{WorkloadClass, WorkloadProfile};
 
+use crate::adapt::ResidualTracker;
 use crate::engine::{AppOutcome, EngineObserver, RunReport};
 use crate::policy::ExplainedDecision;
 
 /// One observed engine run: borrows the [`Observer`] that collects the
 /// audit trail, traces, lifecycle spans, flight recorder and registry,
-/// plus the per-run sim accumulator.
-/// Created by [`crate::engine::run_schedule_observed`].
+/// plus the per-run sim accumulator and, optionally, a
+/// [`ResidualTracker`]. Pass it to [`crate::engine::run_stream_hooked`].
 pub struct ObservedRun<'a> {
     obs: &'a mut Observer,
+    tracker: Option<&'a mut ResidualTracker>,
     sim: SimMetrics,
     burn: Option<SloBurnMonitor>,
+    /// Offset of this run's deployment ids in the observer's span ids
+    /// and trace tracks, past those of earlier runs.
+    id_base: u64,
     /// Watcher ticks seen so far (`on_step` calls) — the span clock.
     ticks: u64,
     /// Took-effect pop counts, flushed as `engine.events_popped.*`.
@@ -38,18 +43,14 @@ pub struct ObservedRun<'a> {
 }
 
 impl<'a> ObservedRun<'a> {
-    /// Wraps an observer for one engine run with no QoS target (no SLO
-    /// burn monitoring).
-    pub fn new(obs: &'a mut Observer) -> Self {
-        Self::with_qos(obs, None)
-    }
-
     /// Wraps an observer for one engine run; when `qos_p99_ms` is set,
     /// LC completions additionally feed an [`SloBurnMonitor`] whose
     /// alerts land in the trace, the registry and `obs.burn`.
     pub fn with_qos(obs: &'a mut Observer, qos_p99_ms: Option<f32>) -> Self {
         Self {
+            id_base: obs.spans.id_horizon(),
             obs,
+            tracker: None,
             sim: SimMetrics::new(),
             burn: qos_p99_ms.map(|q| SloBurnMonitor::new(q, BurnConfig::default())),
             ticks: 0,
@@ -59,6 +60,14 @@ impl<'a> ObservedRun<'a> {
             deadlines: 0,
             source: "schedule",
         }
+    }
+
+    /// Lets `tracker` see every decision and completion of the run. The
+    /// tracker only reads engine state, so decisions and exports are
+    /// those of the untracked run.
+    pub fn with_tracker(mut self, tracker: &'a mut ResidualTracker) -> Self {
+        self.tracker = Some(tracker);
+        self
     }
 }
 
@@ -72,6 +81,9 @@ impl EngineObserver for ObservedRun<'_> {
         decision: &ExplainedDecision,
         policy_name: &str,
     ) {
+        if let Some(tracker) = &mut self.tracker {
+            tracker.record_decision(at_s, id.index(), profile.class(), history, decision);
+        }
         self.obs.record_decision(DecisionInput {
             at_s,
             deployment_id: id.index(),
@@ -106,7 +118,7 @@ impl EngineObserver for ObservedRun<'_> {
             .registry
             .observe("orchestrator.queue_wait_s", decided_s - arrived_s);
         self.obs.spans.open(LifecycleSpan {
-            deployment_id: id.index(),
+            deployment_id: self.id_base + id.index(),
             app: adrias_obs::intern(profile.name()),
             class: adrias_obs::intern(&profile.class().to_string()),
             mode: adrias_obs::intern(&decision.mode.to_string()),
@@ -150,14 +162,20 @@ impl EngineObserver for ObservedRun<'_> {
     }
 
     fn on_complete(&mut self, id: DeploymentId, outcome: &AppOutcome) {
+        if let Some(tracker) = &mut self.tracker {
+            tracker.record_completion(id.index(), outcome);
+        }
         self.finishes += 1;
         self.obs
             .flight
             .record("finish", outcome.finished_s, Some(id.index()));
         if self.obs.spans.enabled() {
-            self.obs
-                .spans
-                .close(id.index(), outcome.finished_s, self.ticks, false);
+            self.obs.spans.close(
+                self.id_base + id.index(),
+                outcome.finished_s,
+                self.ticks,
+                false,
+            );
             self.obs
                 .registry
                 .observe("orchestrator.slowdown", f64::from(outcome.mean_slowdown));
@@ -191,7 +209,7 @@ impl EngineObserver for ObservedRun<'_> {
             "app",
             outcome.arrived_s,
             outcome.finished_s,
-            id.index() + 1,
+            self.id_base + id.index() + 1,
             args,
         );
     }
@@ -212,9 +230,7 @@ impl EngineObserver for ObservedRun<'_> {
                 ("unfinished", (report.unfinished as f64).into()),
             ],
         );
-        // Took-effect event counts, one counter per heap event kind —
-        // identical between the engine cores because the hooks fire at
-        // equivalent sites in both loops.
+        // Took-effect event counts, one counter per heap event kind.
         self.obs
             .registry
             .counter_add("engine.events_popped.arrival", self.admitted);
@@ -240,9 +256,7 @@ impl EngineObserver for ObservedRun<'_> {
         self.obs
             .registry
             .gauge_set("engine.end_time_s", report.end_time_s);
-        // Watcher ticks processed — identical between the event-heap
-        // and step-loop engines (one sample per simulated second), so
-        // the parity battery byte-compares it for free.
+        // Watcher ticks processed: one sample per simulated second.
         self.obs
             .registry
             .gauge_set("engine.ticks", report.samples.len() as f64);
@@ -263,7 +277,7 @@ impl EngineObserver for ObservedRun<'_> {
 mod tests {
     use super::*;
     use crate::baselines::RoundRobinPolicy;
-    use crate::engine::{run_schedule, run_schedule_observed, EngineConfig, ScheduledArrival};
+    use crate::engine::{run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival};
     use adrias_obs::{export, ObsConfig};
     use adrias_sim::TestbedConfig;
     use adrias_workloads::{ibench, spark, IbenchKind, MemoryMode};
@@ -292,12 +306,13 @@ mod tests {
     fn every_placement_is_audited_exactly_once() {
         let mut obs = Observer::new(ObsConfig::default());
         let mut policy = RoundRobinPolicy::new();
-        let report = run_schedule_observed(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
-            &schedule(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         // One audit record per arrival: 2 policy-decided + 1 forced.
         assert_eq!(obs.audit.len(), 3);
@@ -336,15 +351,23 @@ mod tests {
     fn observed_run_report_matches_unobserved() {
         let mut obs = Observer::new(ObsConfig::default());
         let mut p1 = RoundRobinPolicy::new();
-        let observed = run_schedule_observed(
+        let observed = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
-            &schedule(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
             &mut p1,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         let mut p2 = RoundRobinPolicy::new();
-        let plain = run_schedule(TestbedConfig::noiseless(), engine(), &schedule(), &mut p2);
+        let plain = run_stream_hooked(
+            TestbedConfig::noiseless(),
+            engine(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
+            &mut p2,
+            &mut (),
+        );
         assert_eq!(observed.end_time_s, plain.end_time_s);
         assert_eq!(observed.outcomes.len(), plain.outcomes.len());
         for (a, b) in observed.outcomes.iter().zip(&plain.outcomes) {
@@ -361,12 +384,13 @@ mod tests {
         let run = || {
             let mut obs = Observer::new(ObsConfig::default());
             let mut policy = RoundRobinPolicy::new();
-            let _ = run_schedule_observed(
+            let _ = run_stream_hooked(
                 TestbedConfig::default(),
                 engine(),
-                &schedule(),
+                &mut ScheduleStream::new(&schedule()),
+                &[],
                 &mut policy,
-                &mut obs,
+                &mut ObservedRun::with_qos(&mut obs, None),
             );
             (
                 export::to_jsonl_events(&obs),
@@ -385,12 +409,13 @@ mod tests {
     fn lifecycle_spans_and_event_counters_record() {
         let mut obs = Observer::new(ObsConfig::default());
         let mut policy = RoundRobinPolicy::new();
-        let report = run_schedule_observed(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
-            &schedule(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         // One closed lifecycle tree per outcome, none left open.
         assert_eq!(obs.spans.len(), report.outcomes.len());
@@ -437,12 +462,13 @@ mod tests {
             ..ObsConfig::default()
         });
         let mut policy = RoundRobinPolicy::new();
-        let report = run_schedule_observed(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
-            &schedule(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         assert!(obs.spans.is_empty());
         assert!(obs.registry.sketch("orchestrator.queue_wait_s").is_none());

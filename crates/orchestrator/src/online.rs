@@ -33,7 +33,7 @@ use crate::engine::RunReport;
 /// rule order: interference stressor, not remote, already known,
 /// duplicate in this run, empty residency clip (a residency that rounds
 /// to zero trace rows — previously a silent drop).
-pub fn capture_unknown_signatures_audited(
+pub fn capture_unknown_signatures(
     report: &RunReport,
     is_known: impl Fn(&str) -> bool,
 ) -> (Vec<AppSignature>, Vec<CaptureRecord>) {
@@ -79,40 +79,17 @@ pub fn capture_unknown_signatures_audited(
     (captured, records)
 }
 
-/// Extracts candidate signatures for applications the policy does not
-/// know yet, from one finished engine run.
-///
-/// The unaudited form of [`capture_unknown_signatures_audited`]: same
-/// signatures, no per-outcome records.
-pub fn capture_unknown_signatures(
-    report: &RunReport,
-    is_known: impl Fn(&str) -> bool,
-) -> Vec<AppSignature> {
-    capture_unknown_signatures_audited(report, is_known).0
-}
-
 /// Runs the full §V-C loop on a policy: capture signatures for every
-/// application the policy did not know in `report`, store them, and
-/// return how many were added.
-pub fn absorb_signatures(policy: &mut AdriasPolicy, report: &RunReport) -> usize {
-    let captured = capture_unknown_signatures(report, |name| policy.knows(name));
-    let count = captured.len();
-    for sig in captured {
-        policy.store_signature(sig);
-    }
-    count
-}
-
-/// [`absorb_signatures`] with an audit trail: every completed
-/// deployment's capture attempt lands in the observer (stored captures
-/// and skip reasons alike) before the stored signatures are absorbed
-/// into the policy. Returns how many signatures were added.
-pub fn absorb_signatures_observed(
+/// application the policy did not know in `report`, record every
+/// completed deployment's capture attempt in `obs` (stored captures and
+/// skip reasons alike), store the signatures, and return how many were
+/// added.
+pub fn absorb_signatures(
     policy: &mut AdriasPolicy,
     report: &RunReport,
     obs: &mut Observer,
 ) -> usize {
-    let (captured, records) = capture_unknown_signatures_audited(report, |name| policy.knows(name));
+    let (captured, records) = capture_unknown_signatures(report, |name| policy.knows(name));
     for record in records {
         obs.record_capture(record);
     }
@@ -127,7 +104,7 @@ pub fn absorb_signatures_observed(
 mod tests {
     use super::*;
     use crate::baselines::AllRemotePolicy;
-    use crate::engine::{run_schedule, EngineConfig, ScheduledArrival};
+    use crate::engine::{run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival};
     use adrias_sim::TestbedConfig;
     use adrias_workloads::spark;
 
@@ -138,21 +115,23 @@ mod tests {
             .map(|(i, name)| ScheduledArrival::new(i as f64 * 10.0, spark::by_name(name).unwrap()))
             .collect();
         let mut policy = AllRemotePolicy::new();
-        run_schedule(
+        run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig {
                 lc_latency_samples: 500,
                 ..EngineConfig::default()
             },
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         )
     }
 
     #[test]
     fn captures_only_unknown_remote_apps() {
         let report = remote_run(&["gmm", "pca", "gmm"]);
-        let sigs = capture_unknown_signatures(&report, |name| name == "pca");
+        let (sigs, _) = capture_unknown_signatures(&report, |name| name == "pca");
         assert_eq!(sigs.len(), 1, "gmm once, pca skipped as known");
         assert_eq!(sigs[0].app_name(), "gmm");
         assert!(!sigs[0].is_empty());
@@ -161,7 +140,7 @@ mod tests {
     #[test]
     fn captured_rows_cover_the_residency() {
         let report = remote_run(&["wordcount"]);
-        let sigs = capture_unknown_signatures(&report, |_| false);
+        let (sigs, _) = capture_unknown_signatures(&report, |_| false);
         let outcome = &report.outcomes[0];
         let expected = (outcome.finished_s.ceil() - outcome.arrived_s.floor()) as usize;
         assert!(
@@ -177,26 +156,28 @@ mod tests {
         use crate::baselines::AllLocalPolicy;
         let arrivals = vec![ScheduledArrival::new(0.0, spark::by_name("gmm").unwrap())];
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig::default(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
-        assert!(capture_unknown_signatures(&report, |_| false).is_empty());
+        assert!(capture_unknown_signatures(&report, |_| false).0.is_empty());
     }
 
     #[test]
     fn duplicate_arrivals_capture_once() {
         let report = remote_run(&["lda", "lda", "lda"]);
-        let sigs = capture_unknown_signatures(&report, |_| false);
+        let (sigs, _) = capture_unknown_signatures(&report, |_| false);
         assert_eq!(sigs.len(), 1);
     }
 
     #[test]
     fn audited_capture_reports_every_outcome_with_skip_reasons() {
         let report = remote_run(&["gmm", "pca", "gmm"]);
-        let (sigs, records) = capture_unknown_signatures_audited(&report, |name| name == "pca");
+        let (sigs, records) = capture_unknown_signatures(&report, |name| name == "pca");
         assert_eq!(sigs.len(), 1);
         assert_eq!(records.len(), report.outcomes.len());
         // Records follow completion order; find each app's verdict.
@@ -251,7 +232,7 @@ mod tests {
             end_time_s: 12.0,
             unfinished: 0,
         };
-        let (sigs, records) = capture_unknown_signatures_audited(&report, |_| false);
+        let (sigs, records) = capture_unknown_signatures(&report, |_| false);
         assert!(sigs.is_empty());
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].skip, Some(CaptureSkip::EmptyResidency));
@@ -266,9 +247,9 @@ mod tests {
     /// signature.
     #[test]
     fn captured_signature_round_trips_to_the_same_decision_as_offline() {
-        use crate::engine::{run_isolated, run_schedule_observed, EngineConfig};
-        use crate::online::absorb_signatures_observed;
+        use crate::engine::{run_isolated, EngineConfig};
         use crate::test_support::policy_with_beta;
+        use crate::ObservedRun;
         use adrias_obs::{DecisionRule, Observer};
         use adrias_workloads::{ibench, IbenchKind};
 
@@ -287,16 +268,17 @@ mod tests {
         // stressor.
         let mut policy = policy_with_beta(0.7);
         let mut obs = Observer::default();
-        let report = run_schedule_observed(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine,
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
         );
         let pca = report.outcomes.iter().find(|o| o.name == "pca").unwrap();
         assert_eq!(pca.mode, MemoryMode::Remote, "unknown app goes remote");
-        let added = absorb_signatures_observed(&mut policy, &report, &mut obs);
+        let added = absorb_signatures(&mut policy, &report, &mut obs);
         assert_eq!(added, 1);
         assert!(policy.knows("pca"));
         let stored = obs
@@ -310,12 +292,13 @@ mod tests {
 
         // Clean re-run: pca is now known, so the β-slack rule decides.
         let mut obs2 = Observer::default();
-        let _ = run_schedule_observed(
+        let _ = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine,
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
-            &mut obs2,
+            &mut ObservedRun::with_qos(&mut obs2, engine.qos_p99_ms),
         );
         let captured_rec = obs2
             .audit
@@ -341,12 +324,13 @@ mod tests {
             trace.iter().map(|s| *s.vec()).collect(),
         ));
         let mut obs3 = Observer::default();
-        let _ = run_schedule_observed(
+        let _ = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine,
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut offline_policy,
-            &mut obs3,
+            &mut ObservedRun::with_qos(&mut obs3, engine.qos_p99_ms),
         );
         let offline_rec = obs3
             .audit
@@ -369,7 +353,7 @@ mod tests {
         // gmm and pca arrive 10 s apart and overlap; each sees one
         // co-runner.
         let report = remote_run(&["gmm", "pca"]);
-        let (_, records) = capture_unknown_signatures_audited(&report, |_| false);
+        let (_, records) = capture_unknown_signatures(&report, |_| false);
         assert_eq!(records.len(), 2);
         for r in &records {
             assert_eq!(r.co_runners, 1, "app {} overlaps its peer", r.app);

@@ -11,18 +11,17 @@
 //! the swap gate; the verdict (swap or rejection, with held-out
 //! accuracy either way) lands in the observer's adaptation log.
 //!
-//! The runner reuses the exact schedule construction and engine seeding
-//! of [`crate::runner::run_observed`], and the tracker only *reads*
-//! engine state — so with adaptation disabled the per-phase reports are
-//! bit-identical to plain (un)observed runs.
+//! The runner reuses the exact schedule construction and
+//! [`ScenarioSpec::engine_config`] of [`crate::runner::run_observed`],
+//! and the tracker only *reads* engine state — so with adaptation
+//! disabled the per-phase reports are bit-identical to plain
+//! (un)observed runs.
 
 use adrias_obs::{DriftEvent, Observer, SwapVerdict};
-use adrias_orchestrator::engine::{
-    run_schedule_hooked, run_schedule_observed, EngineConfig, RunReport,
-};
+use adrias_orchestrator::engine::{run_stream_hooked, RunReport, ScheduleStream};
 use adrias_orchestrator::{
-    absorb_signatures_observed, fine_tune_candidate, gate_swap, harvest_perf_records, AdriasPolicy,
-    GateConfig, ModelTarget, ObservedRun, ResidualConfig, ResidualTracker, TrackedRun,
+    absorb_signatures, fine_tune_candidate, gate_swap, harvest_perf_records, AdriasPolicy,
+    GateConfig, ModelTarget, ObservedRun, ResidualConfig, ResidualTracker,
 };
 use adrias_predictor::dataset::PerfRecord;
 use adrias_predictor::PerfDataset;
@@ -170,24 +169,26 @@ pub fn run_drift_phases(
 
     for phase in phases {
         let schedule = build_schedule(&phase.spec, catalog, PlacementStyle::PolicyDecided);
-        let engine = EngineConfig {
-            seed: phase.spec.seed ^ 0xE6E,
-            qos_p99_ms: cfg.qos_p99_ms,
-            ..EngineConfig::default()
-        };
-        let report = if cfg.track {
-            let mut hooks = TrackedRun::new(&mut tracker, ObservedRun::new(obs));
-            run_schedule_hooked(phase.testbed, engine, &schedule, policy, &mut hooks)
-        } else {
-            run_schedule_observed(phase.testbed, engine, &schedule, policy, obs)
-        };
+        let run = ObservedRun::with_qos(obs, cfg.qos_p99_ms);
+        let report = run_stream_hooked(
+            phase.testbed,
+            phase.spec.engine_config(cfg.qos_p99_ms),
+            &mut ScheduleStream::new(&schedule),
+            &[],
+            policy,
+            &mut if cfg.track {
+                run.with_tracker(&mut tracker)
+            } else {
+                run
+            },
+        );
 
         let (drifts, signatures_absorbed, verdicts) = if cfg.track {
             tracker.score_system_forecasts(&report, &mut scorer);
             let drifts = tracker.flush(obs);
             capture_buffer.push(report.clone());
             if cfg.adapt && !drifts.is_empty() {
-                let absorbed = absorb_signatures_observed(policy, &report, obs);
+                let absorbed = absorb_signatures(policy, &report, obs);
                 let verdicts = adapt_to_drift(policy, &drifts, &capture_buffer, cfg, &report, obs);
                 (drifts, absorbed, verdicts)
             } else {
@@ -332,6 +333,10 @@ mod tests {
         assert_eq!(result.total_drifts(), 0);
         assert_eq!(result.total_swaps(), 0);
         assert!(obs.adapt.is_empty(), "disabled mode records no adaptation");
+        // Both phases number deployments from 0; their lifecycle spans
+        // still land on distinct trace tracks.
+        adrias_obs::validate::validate_chrome_trace(&adrias_obs::export::to_chrome_trace(&obs))
+            .expect("multi-phase trace nests per track");
 
         for (phase, outcome) in phases.iter().zip(&result.phases) {
             let mut plain_policy = stack.policy(0.8, 5.0);
@@ -366,13 +371,11 @@ mod tests {
 
         let mut policy = stack.policy(0.8, 5.0);
         let mut obs = Observer::default();
-        let tracked = run_drift_phases(
-            &catalog,
-            &phases,
-            &mut policy,
-            &DriftRunConfig::observe_only(),
-            &mut obs,
-        );
+        let cfg = DriftRunConfig {
+            qos_p99_ms: Some(5.0),
+            ..DriftRunConfig::observe_only()
+        };
+        let tracked = run_drift_phases(&catalog, &phases, &mut policy, &cfg, &mut obs);
 
         let mut plain_policy = stack.policy(0.8, 5.0);
         let mut plain_obs = Observer::default();
@@ -380,7 +383,7 @@ mod tests {
             phases[0].testbed,
             &catalog,
             &phases[0].spec,
-            None,
+            Some(5.0),
             &mut plain_policy,
             &mut plain_obs,
         );
@@ -398,6 +401,32 @@ mod tests {
             assert_eq!(a.mode, b.mode);
             assert_eq!(a.runtime_s.to_bits(), b.runtime_s.to_bits());
         }
+        // Tracking adds to the exports of a plain observed run and
+        // drops nothing from them.
+        assert_eq!(
+            adrias_obs::export::to_jsonl_spans(&obs),
+            adrias_obs::export::to_jsonl_spans(&plain_obs)
+        );
+        assert!(!obs.spans.is_empty());
+        assert!(obs.flight.entries().eq(plain_obs.flight.entries()));
+        for kind in ["arrival", "fault", "sample", "finish", "deadline"] {
+            let name = format!("engine.events_popped.{kind}");
+            assert_eq!(
+                obs.registry.counter(&name),
+                plain_obs.registry.counter(&name),
+                "{name}"
+            );
+        }
+        let burn_rates = |o: &Observer| -> Vec<(String, u64)> {
+            o.registry
+                .gauges()
+                .filter(|(name, _)| name.starts_with("slo.burn.rate."))
+                .map(|(name, v)| (name.to_owned(), v.to_bits()))
+                .collect()
+        };
+        assert!(!burn_rates(&plain_obs).is_empty());
+        assert_eq!(burn_rates(&obs), burn_rates(&plain_obs));
+        assert_eq!(obs.burn, plain_obs.burn);
         // Observe-only never touches the models.
         assert_eq!(policy.be_model().version(), 0);
         assert!(obs.adapt.swaps().is_empty());

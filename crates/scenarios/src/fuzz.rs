@@ -34,11 +34,9 @@ use adrias_core::prop::{
 use adrias_core::rng::Xoshiro256pp;
 use adrias_core::thread::map_chunks;
 use adrias_obs::{DecisionRule, Observer};
-use adrias_orchestrator::engine::{
-    run_schedule_observed_faulted, EngineConfig, FaultEvent, RunReport,
-};
+use adrias_orchestrator::engine::{run_stream_hooked, FaultEvent, RunReport, ScheduleStream};
 use adrias_orchestrator::qos::count_violations;
-use adrias_orchestrator::{DecisionContext, Policy, RandomPolicy, RoundRobinPolicy};
+use adrias_orchestrator::{DecisionContext, ObservedRun, Policy, RandomPolicy, RoundRobinPolicy};
 use adrias_sim::{LinkConfig, TestbedConfig};
 use adrias_workloads::{MemoryMode, WorkloadCatalog, WorkloadClass};
 
@@ -237,7 +235,7 @@ pub struct FuzzCase {
     /// Scenario duration, seconds (palette: 480/640/800).
     pub duration_s: u32,
     /// Scenario seed (drives arrivals, app choice, forced modes and the
-    /// engine's latency RNG via the `seed ^ 0xE6E` convention).
+    /// engine's latency RNG via [`ScenarioSpec::engine_config`]).
     pub seed: u64,
     /// Link-degradation schedule, unordered; lowered and sorted by
     /// [`FuzzCase::fault_events`].
@@ -568,14 +566,16 @@ fn run_policy(cfg: &FuzzConfig, case: &FuzzCase, policy: &mut AnyPolicy) -> (Run
     let catalog = case.mix.catalog();
     let schedule = build_schedule(&spec, &catalog, PlacementStyle::PolicyDecided);
     let faults = case.fault_events();
-    let engine = EngineConfig {
-        seed: spec.seed ^ 0xE6E,
-        qos_p99_ms: Some(cfg.qos_p99_ms),
-        ..EngineConfig::default()
-    };
+    let engine = spec.engine_config(Some(cfg.qos_p99_ms));
     let mut obs = Observer::default();
-    let report =
-        run_schedule_observed_faulted(cfg.testbed, engine, &schedule, &faults, policy, &mut obs);
+    let report = run_stream_hooked(
+        cfg.testbed,
+        engine,
+        &mut ScheduleStream::new(&schedule),
+        &faults,
+        policy,
+        &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
+    );
     (report, obs)
 }
 

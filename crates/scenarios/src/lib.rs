@@ -49,7 +49,7 @@ pub use fuzz::{
     AppMix, ArrivalShape, CaseOutcome, FaultKind, FaultSpec, FuzzCase, FuzzConfig, ReplayReport,
     SuiteReport, SuiteVerdict,
 };
-pub use runner::{run_comparison, run_comparison_merged, run_observed, PolicyOutcome};
+pub use runner::{run_comparison, run_observed, PolicyOutcome};
 pub use schedule::build_schedule;
 pub use signatures::collect_signatures;
 pub use spec::{paper_corpus, scaled_corpus, ScenarioSpec};

@@ -5,8 +5,8 @@
 
 use adrias_core::thread::map_chunks;
 use adrias_obs::Observer;
-use adrias_orchestrator::engine::{run_schedule, run_schedule_observed, EngineConfig, RunReport};
-use adrias_orchestrator::Policy;
+use adrias_orchestrator::engine::{run_stream_hooked, RunReport, ScheduleStream};
+use adrias_orchestrator::{ObservedRun, Policy};
 use adrias_sim::TestbedConfig;
 use adrias_workloads::{MemoryMode, WorkloadCatalog, WorkloadClass};
 
@@ -153,12 +153,14 @@ where
                         // specs were chunked across workers.
                         let mut policy = make_policy(pi);
                         let schedule = build_schedule(spec, catalog, PlacementStyle::PolicyDecided);
-                        let engine = EngineConfig {
-                            seed: spec.seed ^ 0xE6E,
-                            qos_p99_ms,
-                            ..EngineConfig::default()
-                        };
-                        run_schedule(testbed_cfg, engine, &schedule, &mut policy)
+                        run_stream_hooked(
+                            testbed_cfg,
+                            spec.engine_config(qos_p99_ms),
+                            &mut ScheduleStream::new(&schedule),
+                            &[],
+                            &mut policy,
+                            &mut (),
+                        )
                     })
                     .collect()
             });
@@ -171,84 +173,14 @@ where
         .collect()
 }
 
-/// [`run_comparison`] with a merged cross-scenario metrics view: each
-/// scenario runs fully observed with its own private
-/// [`adrias_obs::Observer`], and the per-scenario registries are folded
-/// into one [`adrias_obs::Registry`] per policy with
-/// [`adrias_obs::Registry::merge`] — counters sum, sketches merge
-/// bucket-wise, gauges are last-scenario-wins.
-///
-/// Scenarios still run in parallel across `threads` workers, but the
-/// fold always happens on the calling thread in **spec order**, so the
-/// merged registry (and every report) is bit-identical at any thread
-/// count — the same invariance contract `run_comparison` pins for its
-/// reports.
-///
-/// # Panics
-///
-/// Panics if `specs` is empty, `n_policies` is zero or `threads` is zero.
-pub fn run_comparison_merged<F, P>(
-    testbed_cfg: TestbedConfig,
-    catalog: &WorkloadCatalog,
-    specs: &[ScenarioSpec],
-    n_policies: usize,
-    qos_p99_ms: Option<f32>,
-    threads: usize,
-    make_policy: F,
-) -> Vec<(PolicyOutcome, adrias_obs::Registry)>
-where
-    F: Fn(usize) -> P + Sync,
-    P: Policy + Send,
-{
-    assert!(!specs.is_empty(), "no scenarios to run");
-    assert!(n_policies > 0, "no policies to compare");
-    assert!(threads > 0, "need at least one worker thread");
-    (0..n_policies)
-        .map(|pi| {
-            let results: Vec<(RunReport, adrias_obs::Registry)> =
-                map_chunks(specs, threads, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|spec| {
-                            let mut policy = make_policy(pi);
-                            let mut obs = Observer::default();
-                            let report = run_observed(
-                                testbed_cfg,
-                                catalog,
-                                spec,
-                                qos_p99_ms,
-                                &mut policy,
-                                &mut obs,
-                            );
-                            (report, obs.registry)
-                        })
-                        .collect()
-                });
-            let mut merged = adrias_obs::Registry::new();
-            let mut reports = Vec::with_capacity(results.len());
-            for (report, registry) in results {
-                merged.merge(&registry);
-                reports.push(report);
-            }
-            let probe = make_policy(pi);
-            (
-                PolicyOutcome {
-                    policy: probe.name().to_owned(),
-                    reports,
-                },
-                merged,
-            )
-        })
-        .collect()
-}
-
 /// Replays one scenario under `policy` with full observability: every
 /// placement lands in `obs`'s audit trail, every testbed step feeds the
 /// metrics registry, and completions become trace spans.
 ///
-/// Uses the same schedule construction and engine seeding as
-/// [`run_comparison`], so the returned report is bit-identical to the
-/// corresponding unobserved run.
+/// Uses the same schedule construction and
+/// [`ScenarioSpec::engine_config`] as [`run_comparison`], so the
+/// returned report is bit-identical to the corresponding unobserved
+/// run.
 pub fn run_observed<P: Policy>(
     testbed_cfg: TestbedConfig,
     catalog: &WorkloadCatalog,
@@ -258,12 +190,14 @@ pub fn run_observed<P: Policy>(
     obs: &mut Observer,
 ) -> RunReport {
     let schedule = build_schedule(spec, catalog, PlacementStyle::PolicyDecided);
-    let engine = EngineConfig {
-        seed: spec.seed ^ 0xE6E,
-        qos_p99_ms,
-        ..EngineConfig::default()
-    };
-    run_schedule_observed(testbed_cfg, engine, &schedule, policy, obs)
+    run_stream_hooked(
+        testbed_cfg,
+        spec.engine_config(qos_p99_ms),
+        &mut ScheduleStream::new(&schedule),
+        &[],
+        policy,
+        &mut ObservedRun::with_qos(obs, qos_p99_ms),
+    )
 }
 
 /// Convenience: the median of a sample set (empty ⇒ 0).
@@ -433,81 +367,6 @@ mod tests {
         let plain = &plain[0].reports[0];
         assert_eq!(observed.end_time_s.to_bits(), plain.end_time_s.to_bits());
         assert_eq!(observed.link_bytes.to_bits(), plain.link_bytes.to_bits());
-    }
-
-    /// Structural fingerprint of a registry for exact comparison:
-    /// every counter, gauge bit pattern, and sketch (buckets, count and
-    /// min/max, all exact).
-    fn registry_fingerprint(reg: &adrias_obs::Registry) -> Vec<String> {
-        let mut lines: Vec<String> = Vec::new();
-        for (name, v) in reg.counters() {
-            lines.push(format!("counter {name} {v}"));
-        }
-        for (name, v) in reg.gauges() {
-            lines.push(format!("gauge {name} {:016x}", v.to_bits()));
-        }
-        for (name, s) in reg.sketches() {
-            lines.push(format!("sketch {name} {s:?}"));
-        }
-        lines
-    }
-
-    #[test]
-    fn merged_registry_is_thread_count_invariant() {
-        let catalog = WorkloadCatalog::paper();
-        let specs = [
-            ScenarioSpec::new(5.0, 25.0, 700.0, 11),
-            ScenarioSpec::new(5.0, 45.0, 700.0, 12),
-            ScenarioSpec::new(5.0, 35.0, 700.0, 13),
-        ];
-        let run = |threads| {
-            run_comparison_merged(
-                TestbedConfig::noiseless(),
-                &catalog,
-                &specs,
-                2,
-                Some(5.0),
-                threads,
-                make,
-            )
-        };
-        let single = run(1);
-        let parallel = run(3);
-        assert_eq!(single.len(), parallel.len());
-        for ((oa, ra), (ob, rb)) in single.iter().zip(&parallel) {
-            assert_eq!(oa.policy, ob.policy);
-            assert_eq!(registry_fingerprint(ra), registry_fingerprint(rb));
-            for (a, b) in oa.reports.iter().zip(&ob.reports) {
-                assert_eq!(a.end_time_s.to_bits(), b.end_time_s.to_bits());
-                assert_eq!(a.link_bytes.to_bits(), b.link_bytes.to_bits());
-            }
-        }
-        // The merged view really is cross-scenario: decisions from all
-        // three scenarios land in one counter, and the reports match
-        // the unobserved comparison path bit-for-bit.
-        let merged = &single[0].1;
-        let per_report: u64 = single[0]
-            .0
-            .reports
-            .iter()
-            .map(|r| (r.outcomes.len() + r.unfinished) as u64)
-            .sum();
-        assert_eq!(merged.counter("orchestrator.decisions"), per_report);
-        let plain = run_comparison(
-            TestbedConfig::noiseless(),
-            &catalog,
-            &specs,
-            2,
-            Some(5.0),
-            2,
-            make,
-        );
-        for ((outcome, _), unobserved) in single.iter().zip(&plain) {
-            for (a, b) in outcome.reports.iter().zip(&unobserved.reports) {
-                assert_eq!(a.end_time_s.to_bits(), b.end_time_s.to_bits());
-                assert_eq!(a.link_bytes.to_bits(), b.link_bytes.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Scenario specifications.
 
+use adrias_orchestrator::engine::EngineConfig;
 use adrias_workloads::ArrivalProcess;
 
 /// One trace-collection / evaluation scenario.
@@ -47,6 +48,18 @@ impl ScenarioSpec {
     /// The arrival process for this scenario.
     pub fn arrivals(&self) -> ArrivalProcess {
         ArrivalProcess::new(self.spawn_min_s, self.spawn_max_s)
+    }
+
+    /// The engine configuration every replay of this scenario uses: the
+    /// default engine under `qos_p99_ms`, its latency RNG seeded from
+    /// the scenario (`seed ^ 0xE6E`). Sharing it is what makes observed
+    /// and unobserved replays of one spec bit-identical.
+    pub fn engine_config(&self, qos_p99_ms: Option<f32>) -> EngineConfig {
+        EngineConfig {
+            seed: self.seed ^ 0xE6E,
+            qos_p99_ms,
+            ..EngineConfig::default()
+        }
     }
 
     /// Human-readable congestion label, e.g. `{5,40}`.

@@ -1,7 +1,7 @@
 //! Trace collection: the offline data-acquisition phase (§V-B1).
 
 use adrias_core::thread::map_chunks;
-use adrias_orchestrator::engine::{run_schedule, EngineConfig, RunReport};
+use adrias_orchestrator::engine::{run_stream_hooked, RunReport, ScheduleStream};
 use adrias_orchestrator::RandomPolicy;
 use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias_sim::TestbedConfig;
@@ -134,12 +134,15 @@ pub fn collect_traces(
             .iter()
             .map(|spec| {
                 let schedule = build_schedule(spec, catalog, PlacementStyle::RandomForced);
-                let engine = EngineConfig {
-                    seed: spec.seed ^ 0xE6E,
-                    ..EngineConfig::default()
-                };
                 let mut policy = RandomPolicy::new(spec.seed);
-                run_schedule(testbed_cfg, engine, &schedule, &mut policy)
+                run_stream_hooked(
+                    testbed_cfg,
+                    spec.engine_config(None),
+                    &mut ScheduleStream::new(&schedule),
+                    &[],
+                    &mut policy,
+                    &mut (),
+                )
             })
             .collect()
     });

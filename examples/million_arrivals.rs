@@ -22,7 +22,7 @@ use std::time::Instant;
 use adrias::obs::export::write_all;
 use adrias::obs::Observer;
 use adrias::orchestrator::engine::{
-    run_stream, run_stream_hooked, EngineConfig, GeneratedStream, ScheduledArrival,
+    run_stream_hooked, EngineConfig, GeneratedStream, ScheduledArrival,
 };
 use adrias::orchestrator::{ObservedRun, RoundRobinPolicy};
 use adrias::sim::TestbedConfig;
@@ -51,11 +51,13 @@ fn main() {
     });
     let mut policy = RoundRobinPolicy::new();
     let t0 = Instant::now();
-    let report = run_stream(
+    let report = run_stream_hooked(
         TestbedConfig::paper(),
         EngineConfig::default(),
         &mut stream,
+        &[],
         &mut policy,
+        &mut (),
     );
     let elapsed = t0.elapsed().as_secs_f64();
     let issued = stream.issued();
@@ -85,7 +87,7 @@ fn main() {
         });
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::default();
-        let mut hooks = ObservedRun::new(&mut obs);
+        let mut hooks = ObservedRun::with_qos(&mut obs, None);
         run_stream_hooked(
             TestbedConfig::paper(),
             EngineConfig::default(),

@@ -141,8 +141,11 @@ fn trained_stack_predicts_with_usable_accuracy() {
 
 #[test]
 fn unknown_apps_are_captured_online_per_section_v_c() {
+    use adrias::obs::Observer;
     use adrias::orchestrator::absorb_signatures;
-    use adrias::orchestrator::engine::{run_schedule, EngineConfig, ScheduledArrival};
+    use adrias::orchestrator::engine::{
+        run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
+    };
     use adrias::workloads::spark;
 
     let catalog = WorkloadCatalog::paper();
@@ -170,11 +173,13 @@ fn unknown_apps_are_captured_online_per_section_v_c() {
         ScheduledArrival::new(0.0, spark::by_name("gmm").unwrap()),
         ScheduledArrival::new(20.0, spark::by_name("pca").unwrap()),
     ];
-    let report = run_schedule(
+    let report = run_stream_hooked(
         TestbedConfig::noiseless(),
         EngineConfig::default(),
-        &arrivals,
+        &mut ScheduleStream::new(&arrivals),
+        &[],
         &mut policy,
+        &mut (),
     );
     let pca = report
         .outcomes
@@ -187,7 +192,9 @@ fn unknown_apps_are_captured_online_per_section_v_c() {
         "unknown app must be scheduled remote-first"
     );
 
-    let added = absorb_signatures(&mut policy, &report);
+    let mut obs = Observer::default();
+    let added = absorb_signatures(&mut policy, &report, &mut obs);
     assert_eq!(added, 1, "one new signature captured");
     assert!(policy.knows("pca"));
+    assert_eq!(obs.registry.counter("adapt.captures"), 1);
 }

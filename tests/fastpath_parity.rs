@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 
 use adrias::core_util::prop::prelude::*;
-use adrias::orchestrator::engine::{run_schedule, EngineConfig};
+use adrias::orchestrator::engine::{run_stream_hooked, ScheduleStream};
 use adrias::orchestrator::{AdriasPolicy, DecisionContext};
 use adrias::predictor::dataset::HISTORY_S;
 use adrias::scenarios::schedule::PlacementStyle;
@@ -58,13 +58,16 @@ fn report_bytes(
 ) -> String {
     let spec = ScenarioSpec::new(5.0, 30.0, 700.0, seed);
     let schedule = build_schedule(&spec, catalog, PlacementStyle::PolicyDecided);
-    let engine = EngineConfig {
-        seed: spec.seed ^ 0xE6E,
-        qos_p99_ms: Some(5.0),
-        ..EngineConfig::default()
-    };
+    let engine = spec.engine_config(Some(5.0));
     let mut policy = policy(stack, workers, fast);
-    let report = run_schedule(TestbedConfig::noiseless(), engine, &schedule, &mut policy);
+    let report = run_stream_hooked(
+        TestbedConfig::noiseless(),
+        engine,
+        &mut ScheduleStream::new(&schedule),
+        &[],
+        &mut policy,
+        &mut (),
+    );
     format!("{report:?}")
 }
 

@@ -4,8 +4,10 @@
 
 use adrias::core_util::rng::{Rng, SeedableRng, Xoshiro256pp};
 use adrias::obs::{export, DecisionRule, ObsConfig, Observer};
-use adrias::orchestrator::engine::{run_schedule_observed, EngineConfig, ScheduledArrival};
-use adrias::orchestrator::AdriasPolicy;
+use adrias::orchestrator::engine::{
+    run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
+};
+use adrias::orchestrator::{AdriasPolicy, ObservedRun};
 use adrias::predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias::predictor::{
     PerfDataset, PerfModel, PerfModelConfig, SystemStateDataset, SystemStateModel,
@@ -134,12 +136,13 @@ fn engine() -> EngineConfig {
 fn exports_with_workers(workers: usize) -> (Observer, [String; 5]) {
     let mut policy = policy_with_workers(workers);
     let mut obs = Observer::new(ObsConfig::default());
-    let _ = run_schedule_observed(
+    let _ = run_stream_hooked(
         TestbedConfig::noiseless(),
         engine(),
-        &schedule(),
+        &mut ScheduleStream::new(&schedule()),
+        &[],
         &mut policy,
-        &mut obs,
+        &mut ObservedRun::with_qos(&mut obs, engine().qos_p99_ms),
     );
     let docs = [
         export::to_jsonl_events(&obs),
